@@ -17,14 +17,15 @@
 //     second the next slice, and so on until the slices cover the full rate
 //     or the group is exhausted.
 //
-// PlanRecovery turns an outage episode into per-packet repair arrival times;
-// the stream package folds those into playback accounting. The single-source
+// PlanRecovery is the one recovery planner: it turns an outage episode into
+// a dense slice of per-packet repair arrival times, plus, for callers that
+// ask (span tracing), the per-server breakdown. The stream and multitree
+// packages fold the arrivals into playback accounting. The single-source
 // baseline of Figure 14 (recovery list used one node at a time, no striping)
 // is planned by the same code with Striped=false.
 package cer
 
 import (
-	"math"
 	"sort"
 	"time"
 
@@ -427,10 +428,6 @@ type Episode struct {
 	Striped bool
 }
 
-// Plan maps missing sequence numbers to their repair arrival times at the
-// requester; packets absent from the map are lost.
-type Plan map[int64]time.Duration
-
 // ServerPlan is one recovery server's share of a planned episode: the
 // per-peer fetch detail behind a repair span. Phase is "striped" for the
 // sequence-space slice a server supplies directly and "backlog" for the
@@ -444,7 +441,23 @@ type ServerPlan struct {
 	First, Last time.Duration
 }
 
-// PlanRecovery computes repair arrivals for an episode.
+func (sp *ServerPlan) record(at time.Duration) {
+	if sp.Packets == 0 || at < sp.First {
+		sp.First = at
+	}
+	if at > sp.Last {
+		sp.Last = at
+	}
+	sp.Packets++
+}
+
+// Lost marks a packet with no repair arrival in a PlanRecovery result.
+const Lost time.Duration = -1
+
+// PlanRecovery computes repair arrivals for an episode. Element i of the
+// returned slice holds the arrival time at the requester of packet
+// FirstMissing+i, or Lost for a packet the group cannot supply. buf is
+// reused when large enough.
 //
 // Striped phase: the missing-sequence space is partitioned by (n mod 100)
 // slices proportional to each server's epsilon, in server order. A covered
@@ -456,29 +469,19 @@ type ServerPlan struct {
 // resumes, at the group's aggregate residual rate; their arrival times grow
 // linearly with queue position. Whether they beat their playback deadlines
 // is the buffer-size trade-off of Figure 13.
-func PlanRecovery(ep Episode, servers []Server) Plan {
-	plan, _ := planRecovery(ep, servers, false)
-	return plan
-}
-
-// PlanRecoveryDetail is PlanRecovery returning, additionally, the
-// per-server breakdown (tracing only — the hot path calls PlanRecovery and
-// pays nothing for the detail).
-func PlanRecoveryDetail(ep Episode, servers []Server) (Plan, []ServerPlan) {
-	return planRecovery(ep, servers, true)
-}
-
-// Lost marks a packet with no repair arrival in a PlanRecoveryInto result.
-const Lost time.Duration = -1
-
-// PlanRecoveryInto is PlanRecovery with dense output for the streaming hot
-// path: element i of the returned slice holds the repair arrival time of
-// packet FirstMissing+i, or Lost for packets the group cannot supply. buf is
-// reused when large enough, so steady-state episodes allocate nothing. The
-// arithmetic mirrors PlanRecovery expression for expression; the two are
-// equivalence-tested, which is what lets the interval accounting in stream
-// replace the per-packet map without disturbing any figure output.
-func PlanRecoveryInto(ep Episode, servers []Server, buf []time.Duration) []time.Duration {
+//
+// With Striped=false (the single-source baseline) the request walks the list
+// until a node with spare bandwidth answers, and only that node's residual
+// bandwidth is used.
+//
+// If detail is non-nil, *detail is overwritten (reusing its storage) with the
+// per-server breakdown: the striped shares in server order, then the backlog
+// share charged to the lead server, with zero-packet shares dropped. With
+// detail nil and buf large enough, the call allocates nothing.
+func PlanRecovery(ep Episode, servers []Server, buf []time.Duration, detail *[]ServerPlan) []time.Duration {
+	if detail != nil {
+		*detail = (*detail)[:0]
+	}
 	count := ep.LastMissing - ep.FirstMissing + 1
 	if count <= 0 {
 		return buf[:0]
@@ -491,180 +494,85 @@ func PlanRecoveryInto(ep Episode, servers []Server, buf []time.Duration) []time.
 	for i := range buf {
 		buf[i] = Lost
 	}
-	if len(servers) == 0 || ep.Rate <= 0 {
-		return buf
-	}
 	usable := servers
 	if !ep.Striped {
 		usable = nil
-		for _, s := range servers {
+		for i, s := range servers {
 			if s.Epsilon > 0 {
-				usable = []Server{s}
+				usable = servers[i : i+1]
 				break
 			}
 		}
-		if len(usable) == 0 {
-			return buf
-		}
-	}
-	type slice struct {
-		lo, hi float64
-		srv    Server
-	}
-	var slices []slice
-	cum := 0.0
-	for _, s := range usable {
-		if cum >= 1 || s.Epsilon <= 0 {
-			continue
-		}
-		hi := math.Min(1, cum+s.Epsilon)
-		slices = append(slices, slice{lo: cum, hi: hi, srv: s})
-		cum = hi
 	}
 	aggregate := 0.0
 	for _, s := range usable {
 		if s.Epsilon > 0 {
 			aggregate += s.Epsilon
 		}
+	}
+	if aggregate <= 0 || ep.Rate <= 0 {
+		return buf // no spare bandwidth: every packet is lost
+	}
+	var det []ServerPlan
+	if detail != nil {
+		// One share per stripe, in the order the walk below meets them,
+		// then the backlog share.
+		det = *detail
+		cum := 0.0
+		for _, s := range usable {
+			if cum >= 1 || s.Epsilon <= 0 {
+				continue
+			}
+			det = append(det, ServerPlan{Server: s, Phase: "striped"})
+			cum = min(1, cum+s.Epsilon)
+		}
+		det = append(det, ServerPlan{Server: usable[0], Phase: "backlog"})
 	}
 	rate := aggregate * ep.Rate // packets per second
 	backlog := int64(0)
 	for n := ep.FirstMissing; n <= ep.LastMissing; n++ {
+		// Stripes tile [0,1) of the (n mod 100)/100 space: each server with
+		// spare bandwidth takes the next [cum, cum+epsilon) slice.
 		frac := float64(n%100) / 100
-		covered := false
-		for _, sl := range slices {
-			if frac >= sl.lo && frac < sl.hi {
-				at := ep.RequestAt + sl.srv.ChainDelay
+		covered, stripe := false, 0
+		var at time.Duration
+		cum := 0.0
+		for _, s := range usable {
+			if cum >= 1 || s.Epsilon <= 0 {
+				continue
+			}
+			hi := min(1, cum+s.Epsilon)
+			if frac >= cum && frac < hi {
+				at = ep.RequestAt + s.ChainDelay
 				if g := ep.Gen(n); g > at {
 					at = g // live forwarding of not-yet-generated packets
 				}
-				buf[n-ep.FirstMissing] = at + sl.srv.Transfer
+				at += s.Transfer
 				covered = true
 				break
 			}
-		}
-		if !covered && aggregate > 0 {
-			service := time.Duration(float64(backlog+1) / rate * float64(time.Second))
-			buf[n-ep.FirstMissing] = ep.ResumeAt + service + usable[0].Transfer
-			backlog++
-		}
-	}
-	return buf
-}
-
-func planRecovery(ep Episode, servers []Server, detail bool) (Plan, []ServerPlan) {
-	plan := make(Plan, ep.LastMissing-ep.FirstMissing+1)
-	if len(servers) == 0 || ep.Rate <= 0 {
-		return plan, nil
-	}
-	usable := servers
-	if !ep.Striped {
-		// Single-source baseline: the request walks the list until a node
-		// with spare bandwidth answers; only that node's residual bandwidth
-		// is used.
-		usable = nil
-		for _, s := range servers {
-			if s.Epsilon > 0 {
-				usable = []Server{s}
-				break
-			}
-		}
-		if len(usable) == 0 {
-			return plan, nil
-		}
-	}
-	// Striped ranges over [0,1) of the (n mod 100)/100 space.
-	type slice struct {
-		lo, hi float64
-		srv    Server
-	}
-	var slices []slice
-	cum := 0.0
-	for _, s := range usable {
-		if cum >= 1 || s.Epsilon <= 0 {
-			continue
-		}
-		hi := math.Min(1, cum+s.Epsilon)
-		slices = append(slices, slice{lo: cum, hi: hi, srv: s})
-		cum = hi
-	}
-	var det []ServerPlan
-	if detail {
-		det = make([]ServerPlan, len(slices))
-		for i := range slices {
-			det[i] = ServerPlan{Server: slices[i].srv, Phase: "striped"}
-		}
-	}
-	record := func(sp *ServerPlan, at time.Duration) {
-		if sp.Packets == 0 || at < sp.First {
-			sp.First = at
-		}
-		if at > sp.Last {
-			sp.Last = at
-		}
-		sp.Packets++
-	}
-	var backlog []int64
-	for n := ep.FirstMissing; n <= ep.LastMissing; n++ {
-		frac := float64(n%100) / 100
-		covered := false
-		for i, sl := range slices {
-			if frac >= sl.lo && frac < sl.hi {
-				at := ep.RequestAt + sl.srv.ChainDelay
-				if g := ep.Gen(n); g > at {
-					at = g // live forwarding of not-yet-generated packets
-				}
-				plan[n] = at + sl.srv.Transfer
-				if detail {
-					record(&det[i], plan[n])
-				}
-				covered = true
-				break
-			}
+			cum = hi
+			stripe++
 		}
 		if !covered {
-			backlog = append(backlog, n)
+			backlog++
+			service := time.Duration(float64(backlog) / rate * float64(time.Second))
+			at = ep.ResumeAt + service + usable[0].Transfer
+			stripe = len(det) - 1 // the backlog share
+		}
+		buf[n-ep.FirstMissing] = at
+		if detail != nil {
+			det[stripe].record(at)
 		}
 	}
-	// Aggregate residual rate for the backlog phase.
-	aggregate := 0.0
-	for _, s := range usable {
-		if s.Epsilon > 0 {
-			aggregate += s.Epsilon
+	if detail != nil {
+		out := det[:0]
+		for _, d := range det {
+			if d.Packets > 0 {
+				out = append(out, d)
+			}
 		}
+		*detail = out
 	}
-	if aggregate <= 0 {
-		return plan, compactDetail(det)
-	}
-	rate := aggregate * ep.Rate // packets per second
-	var back ServerPlan
-	if detail {
-		back = ServerPlan{Server: usable[0], Phase: "backlog"}
-	}
-	for k, n := range backlog {
-		service := time.Duration(float64(k+1) / rate * float64(time.Second))
-		plan[n] = ep.ResumeAt + service + usable[0].Transfer
-		if detail {
-			record(&back, plan[n])
-		}
-	}
-	if detail && back.Packets > 0 {
-		det = append(det, back)
-	}
-	return plan, compactDetail(det)
-}
-
-// compactDetail drops servers whose slice covered no packets (an episode
-// narrower than the stripe layout).
-func compactDetail(det []ServerPlan) []ServerPlan {
-	if det == nil {
-		return nil
-	}
-	out := det[:0]
-	for _, d := range det {
-		if d.Packets > 0 {
-			out = append(out, d)
-		}
-	}
-	return out
+	return buf
 }

@@ -65,7 +65,8 @@ func BenchmarkRandomSelect(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanRecovery measures planning one 150-packet episode.
+// BenchmarkPlanRecovery measures planning one 150-packet episode into a
+// reused buffer, as the streaming model does.
 func BenchmarkPlanRecovery(b *testing.B) {
 	ep := testEpisode(true)
 	servers := []Server{
@@ -73,9 +74,11 @@ func BenchmarkPlanRecovery(b *testing.B) {
 		mkServer(0.4, 20*time.Millisecond, 15*time.Millisecond),
 		mkServer(0.2, 30*time.Millisecond, 20*time.Millisecond),
 	}
+	var buf []time.Duration
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if plan := PlanRecovery(ep, servers); len(plan) == 0 {
+		if buf = PlanRecovery(ep, servers, buf, nil); len(buf) == 0 {
 			b.Fatal("empty plan")
 		}
 	}

@@ -268,29 +268,45 @@ func mkServer(eps float64, chain, transfer time.Duration) Server {
 	return Server{Epsilon: eps, ChainDelay: chain, Transfer: transfer}
 }
 
+// plan runs the planner with a fresh buffer and no detail.
+func plan(ep Episode, servers []Server) []time.Duration {
+	return PlanRecovery(ep, servers, nil, nil)
+}
+
+// repairedCount counts the packets of a plan that are not Lost.
+func repairedCount(arrivals []time.Duration) int {
+	n := 0
+	for _, at := range arrivals {
+		if at != Lost {
+			n++
+		}
+	}
+	return n
+}
+
 func TestPlanNoServers(t *testing.T) {
-	plan := PlanRecovery(testEpisode(true), nil)
-	if len(plan) != 0 {
-		t.Fatalf("plan with no servers has %d entries", len(plan))
+	p := plan(testEpisode(true), nil)
+	if len(p) != 150 {
+		t.Fatalf("plan has %d entries, want one per missing packet (150)", len(p))
+	}
+	if got := repairedCount(p); got != 0 {
+		t.Fatalf("plan with no servers repairs %d packets", got)
 	}
 }
 
 func TestPlanFullCoverage(t *testing.T) {
 	// Two servers covering the full rate: every packet is repaired in the
 	// striped phase.
-	plan := PlanRecovery(testEpisode(true), []Server{
+	p := plan(testEpisode(true), []Server{
 		mkServer(0.6, 10*time.Millisecond, 10*time.Millisecond),
 		mkServer(0.5, 20*time.Millisecond, 12*time.Millisecond),
 	})
 	ep := testEpisode(true)
-	if len(plan) != 150 {
-		t.Fatalf("full-coverage plan has %d entries, want 150", len(plan))
+	if got := repairedCount(p); got != 150 {
+		t.Fatalf("full-coverage plan repairs %d packets, want 150", got)
 	}
 	for n := ep.FirstMissing; n <= ep.LastMissing; n++ {
-		at, ok := plan[n]
-		if !ok {
-			t.Fatalf("packet %d missing from full-coverage plan", n)
-		}
+		at := p[n-ep.FirstMissing]
 		// Live packets cannot arrive before generation; none before the
 		// request either.
 		if at < ep.RequestAt && at < ep.Gen(n) {
@@ -302,15 +318,15 @@ func TestPlanFullCoverage(t *testing.T) {
 func TestPlanStripedPartialCoverage(t *testing.T) {
 	// epsilon 0.4: packets with (n mod 100) in [0,40) repaired promptly; the
 	// rest queue behind the resume point.
-	plan := PlanRecovery(testEpisode(true), []Server{
+	p := plan(testEpisode(true), []Server{
 		mkServer(0.4, 10*time.Millisecond, 10*time.Millisecond),
 	})
 	ep := testEpisode(true)
 	prompt, backlog := 0, 0
 	for n := ep.FirstMissing; n <= ep.LastMissing; n++ {
-		at, ok := plan[n]
-		if !ok {
-			t.Fatalf("packet %d absent; the backlog phase should cover it", n)
+		at := p[n-ep.FirstMissing]
+		if at == Lost {
+			t.Fatalf("packet %d Lost; the backlog phase should cover it", n)
 		}
 		if at < ep.ResumeAt {
 			prompt++
@@ -334,7 +350,7 @@ func TestPlanStripedPartialCoverage(t *testing.T) {
 func TestPlanBacklogPacing(t *testing.T) {
 	// The backlog drains at the aggregate residual rate: with epsilon 0.5
 	// (5 pkt/s) the k-th backlog packet arrives ~ (k+1)/5 s after resume.
-	plan := PlanRecovery(testEpisode(true), []Server{
+	p := plan(testEpisode(true), []Server{
 		mkServer(0.5, 0, 0),
 	})
 	ep := testEpisode(true)
@@ -346,7 +362,7 @@ func TestPlanBacklogPacing(t *testing.T) {
 	}
 	for k, n := range backlog {
 		want := ep.ResumeAt + time.Duration(float64(k+1)/5.0*float64(time.Second))
-		if got := plan[n]; got != want {
+		if got := p[n-ep.FirstMissing]; got != want {
 			t.Fatalf("backlog packet %d arrives %v, want %v", n, got, want)
 		}
 	}
@@ -355,19 +371,19 @@ func TestPlanBacklogPacing(t *testing.T) {
 func TestPlanSingleSourceBaseline(t *testing.T) {
 	// Three servers but no striping: only the first non-empty server's
 	// bandwidth counts.
-	striped := PlanRecovery(testEpisode(true), []Server{
+	striped := plan(testEpisode(true), []Server{
 		mkServer(0.3, 0, 0), mkServer(0.3, 0, 0), mkServer(0.3, 0, 0),
 	})
-	single := PlanRecovery(testEpisode(false), []Server{
+	single := plan(testEpisode(false), []Server{
 		mkServer(0.3, 0, 0), mkServer(0.3, 0, 0), mkServer(0.3, 0, 0),
 	})
 	ep := testEpisode(true)
 	stripedPrompt, singlePrompt := 0, 0
-	for n := ep.FirstMissing; n <= ep.LastMissing; n++ {
-		if at, ok := striped[n]; ok && at < ep.ResumeAt {
+	for i := range striped {
+		if at := striped[i]; at != Lost && at < ep.ResumeAt {
 			stripedPrompt++
 		}
-		if at, ok := single[n]; ok && at < ep.ResumeAt {
+		if at := single[i]; at != Lost && at < ep.ResumeAt {
 			singlePrompt++
 		}
 	}
@@ -375,14 +391,14 @@ func TestPlanSingleSourceBaseline(t *testing.T) {
 		t.Fatalf("striped prompt repairs %d not above single-source %d", stripedPrompt, singlePrompt)
 	}
 	// Single-source skips zero-bandwidth heads of the list.
-	skip := PlanRecovery(testEpisode(false), []Server{
+	skip := plan(testEpisode(false), []Server{
 		mkServer(0, 0, 0), mkServer(0.5, 0, 0),
 	})
-	if len(skip) == 0 {
+	if repairedCount(skip) == 0 {
 		t.Fatal("single-source did not walk past an empty server")
 	}
 	// All-zero group: nothing repaired.
-	if p := PlanRecovery(testEpisode(false), []Server{mkServer(0, 0, 0)}); len(p) != 0 {
+	if p := plan(testEpisode(false), []Server{mkServer(0, 0, 0)}); repairedCount(p) != 0 {
 		t.Fatal("zero-bandwidth group repaired packets")
 	}
 }
@@ -390,19 +406,39 @@ func TestPlanSingleSourceBaseline(t *testing.T) {
 func TestPlanChainDelayPropagates(t *testing.T) {
 	chain := 200 * time.Millisecond
 	transfer := 100 * time.Millisecond
-	plan := PlanRecovery(testEpisode(true), []Server{mkServer(1.0, chain, transfer)})
+	p := plan(testEpisode(true), []Server{mkServer(1.0, chain, transfer)})
 	ep := testEpisode(true)
 	// A packet generated before the request arrives at request+chain+transfer.
-	n := ep.FirstMissing
 	want := ep.RequestAt + chain + transfer
-	if got := plan[n]; got != want {
+	if got := p[0]; got != want {
 		t.Fatalf("old packet arrival %v, want %v", got, want)
 	}
 	// A packet generated after the request is forwarded live.
 	late := ep.LastMissing
 	wantLate := ep.Gen(late) + transfer
-	if got := plan[late]; got != wantLate {
+	if got := p[late-ep.FirstMissing]; got != wantLate {
 		t.Fatalf("live packet arrival %v, want %v", got, wantLate)
+	}
+}
+
+// TestPlanRecoveryAllocatesNothing pins the hot-path contract: with no
+// detail requested and a buffer large enough for the episode, planning
+// allocates nothing, for striped CER and for the single-source baseline.
+func TestPlanRecoveryAllocatesNothing(t *testing.T) {
+	servers := []Server{
+		mkServer(0.3, 10*time.Millisecond, 10*time.Millisecond),
+		mkServer(0.4, 20*time.Millisecond, 15*time.Millisecond),
+		mkServer(0.2, 30*time.Millisecond, 20*time.Millisecond),
+	}
+	for _, striped := range []bool{true, false} {
+		ep := testEpisode(striped)
+		buf := make([]time.Duration, 0, 150)
+		allocs := testing.AllocsPerRun(100, func() {
+			buf = PlanRecovery(ep, servers, buf, nil)
+		})
+		if allocs != 0 {
+			t.Fatalf("striped=%v: %v allocs per episode, want 0", striped, allocs)
+		}
 	}
 }
 
@@ -410,8 +446,8 @@ func TestPlanChainDelayPropagates(t *testing.T) {
 // testing/quick and checks the plan's invariants:
 //   - every planned arrival is at or after both the request instant and the
 //     packet's generation time;
-//   - with positive aggregate bandwidth every missing packet gets a plan
-//     entry (prompt or backlog);
+//   - with positive aggregate bandwidth no missing packet is Lost (each is
+//     repaired in the striped or the backlog phase);
 //   - backlog arrivals are strictly increasing in sequence order.
 func TestPlanRecoveryProperties(t *testing.T) {
 	f := func(firstRaw uint16, spanRaw uint8, eps1, eps2, eps3 float64, striped bool) bool {
@@ -453,11 +489,11 @@ func TestPlanRecoveryProperties(t *testing.T) {
 				}
 			}
 		}
-		plan := PlanRecovery(ep, servers)
+		p := plan(ep, servers)
 		var prevBacklog time.Duration
 		for n := first; n <= last; n++ {
-			at, ok := plan[n]
-			if !ok {
+			at := p[n-first]
+			if at == Lost {
 				// Only legal when no usable bandwidth exists at all.
 				if aggregate > 0 {
 					return false

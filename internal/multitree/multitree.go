@@ -573,7 +573,7 @@ func (s *Session) planRecovery(t int, c *overlay.Member, cp *participant, first,
 			Transfer:   s.topo.Delay(g.Attach, c.Attach),
 		})
 	}
-	s.arrivalBuf = cer.PlanRecoveryInto(cer.Episode{
+	s.arrivalBuf = cer.PlanRecovery(cer.Episode{
 		FirstMissing: first,
 		LastMissing:  last,
 		RequestAt:    requestAt,
@@ -581,7 +581,7 @@ func (s *Session) planRecovery(t int, c *overlay.Member, cp *participant, first,
 		Rate:         stripeRate,
 		Gen:          func(k int64) time.Duration { return s.stripeGen(t, k) },
 		Striped:      true,
-	}, servers, s.arrivalBuf)
+	}, servers, s.arrivalBuf, nil)
 	return s.arrivalBuf
 }
 

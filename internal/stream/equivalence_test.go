@@ -10,13 +10,12 @@ import (
 	"omcast/internal/xrand"
 )
 
-// TestIntervalPathMatchesTracedPath is the property test behind the
-// interval-accounting rewrite: over randomized small overlays and failure
-// schedules, the compact path (sorted slacks + binary search + spanSet) must
-// produce bit-identical results to the historical per-packet loop, which
-// survives as the tracing path. Scenarios include overlapping failure
-// windows, repeat failures of the same subtree, late joiners and partial
-// recovery bandwidth.
+// TestIntervalPathMatchesTracedPath pins that tracing is a pure observer of
+// the one episode path: over randomized small overlays and failure
+// schedules, a run with Config.Trace set must produce bit-identical counters,
+// packet outcomes and per-member ratios to the same run without it.
+// Scenarios include overlapping failure windows, repeat failures of the same
+// subtree, late joiners and partial recovery bandwidth.
 func TestIntervalPathMatchesTracedPath(t *testing.T) {
 	type outcome struct {
 		res      Result
@@ -94,22 +93,22 @@ func TestIntervalPathMatchesTracedPath(t *testing.T) {
 				lost:     m.PacketsLost,
 			}
 		}
-		compact, legacy := run(false), run(true)
-		if compact.episodes != legacy.episodes || compact.eln != legacy.eln ||
-			compact.requests != legacy.requests {
-			t.Fatalf("seed %d: episode counters diverge: compact %+v legacy %+v", seed, compact, legacy)
+		plain, traced := run(false), run(true)
+		if plain.episodes != traced.episodes || plain.eln != traced.eln ||
+			plain.requests != traced.requests {
+			t.Fatalf("seed %d: episode counters diverge: plain %+v traced %+v", seed, plain, traced)
 		}
-		if compact.repaired != legacy.repaired || compact.lost != legacy.lost {
-			t.Fatalf("seed %d: packet outcomes diverge: compact repaired=%d lost=%d, legacy repaired=%d lost=%d",
-				seed, compact.repaired, compact.lost, legacy.repaired, legacy.lost)
+		if plain.repaired != traced.repaired || plain.lost != traced.lost {
+			t.Fatalf("seed %d: packet outcomes diverge: plain repaired=%d lost=%d, traced repaired=%d lost=%d",
+				seed, plain.repaired, plain.lost, traced.repaired, traced.lost)
 		}
-		if len(compact.res.Ratios) != len(legacy.res.Ratios) {
-			t.Fatalf("seed %d: ratio counts diverge: %d vs %d", seed, len(compact.res.Ratios), len(legacy.res.Ratios))
+		if len(plain.res.Ratios) != len(traced.res.Ratios) {
+			t.Fatalf("seed %d: ratio counts diverge: %d vs %d", seed, len(plain.res.Ratios), len(traced.res.Ratios))
 		}
-		for i := range compact.res.Ratios {
-			if compact.res.Ratios[i] != legacy.res.Ratios[i] {
-				t.Fatalf("seed %d: ratio[%d] = %g (compact) vs %g (legacy)",
-					seed, i, compact.res.Ratios[i], legacy.res.Ratios[i])
+		for i := range plain.res.Ratios {
+			if plain.res.Ratios[i] != traced.res.Ratios[i] {
+				t.Fatalf("seed %d: ratio[%d] = %g (plain) vs %g (traced)",
+					seed, i, plain.res.Ratios[i], traced.res.Ratios[i])
 			}
 		}
 	}

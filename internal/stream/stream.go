@@ -12,14 +12,14 @@
 // fraction of the event count (see DESIGN.md).
 //
 // Episode accounting is interval-based: the repair plan is computed once per
-// episode into a dense arrival buffer (cer.PlanRecoveryInto), converted to a
+// episode into a dense arrival buffer (cer.PlanRecovery), converted to a
 // per-packet slack array (deadline minus arrival), and each subtree member's
 // missed-packet count falls out of one binary search over the sorted slacks
 // — a member at repair-hop distance h misses exactly the packets with slack
 // below h. Per-member loss state is a watermark plus a small set of
-// accounted [from,to) spans (spanSet), never per-packet. The historical
-// per-packet loop survives only on the tracing path, which needs individual
-// stall spans; the two paths are equivalence-tested.
+// accounted [from,to) spans (spanSet), never per-packet. There is one
+// episode path: with tracing on, it also emits the repair span and its
+// detect/fetch/stall children from the same plan and slacks.
 package stream
 
 import (
@@ -82,8 +82,9 @@ type Config struct {
 	// orphan that planned recovery and its per-packet outcome (tracing).
 	OnEpisode func(orphan *overlay.Member, failedAt time.Duration, repaired, lost int)
 	// Trace, if non-nil, records each outage as a causal "repair" span
-	// with detect/fetch/stall children (see internal/tracing). The nil
-	// default adds one pointer check to the episode path and nothing else.
+	// with detect/fetch/stall children (see internal/tracing), emitted from
+	// the same episode accounting. The nil default costs a few nil-safe
+	// no-op span calls per episode and nothing else.
 	Trace *tracing.Tracer
 }
 
@@ -152,6 +153,7 @@ type Model struct {
 	sortedBuf  []time.Duration
 	uncovBuf   []span
 	serverBuf  []cer.Server
+	detailBuf  []cer.ServerPlan
 
 	// Episodes counts processed outage episodes (one per orphan per
 	// failure).
@@ -313,7 +315,9 @@ func (m *Model) OnFailure(failed *overlay.Member, now time.Duration) {
 	}
 }
 
-// runEpisode handles one orphan's outage.
+// runEpisode handles one orphan's outage. With Config.Trace set it also
+// records the episode as a repair span: the spans observe this accounting,
+// they do not recompute it.
 func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration) {
 	m.Episodes++
 	m.met.episodes.Inc()
@@ -323,15 +327,29 @@ func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration)
 		return
 	}
 	requestAt := failedAt + m.cfg.DetectDelay
-	if m.cfg.Trace != nil {
-		// Tracing needs individual stall spans and the per-server fetch
-		// detail, so it keeps the historical per-packet loop.
-		m.runEpisodeTraced(c, failedAt, outageEnd, first, last, requestAt)
-		return
-	}
+	// The episode span covers the service-interruption window (the paper's
+	// resilience metric); its children decompose it causally. All span
+	// calls are nil-safe no-ops when tracing is off.
+	sp := m.cfg.Trace.Start(tracing.KindRepair, int64(c.ID), failedAt).
+		AttrInt("first", first).AttrInt("last", last)
+	sp.Child(tracing.KindDetect, int64(c.ID), failedAt).End(requestAt, "gap-detected")
 	servers, ep := m.episodeInputs(c, first, last, requestAt, outageEnd)
-	m.arrivalBuf = cer.PlanRecoveryInto(ep, servers, m.arrivalBuf)
+	var detail *[]cer.ServerPlan
+	if sp != nil {
+		detail = &m.detailBuf
+	}
+	m.arrivalBuf = cer.PlanRecovery(ep, servers, m.arrivalBuf, detail)
 	arrivals := m.arrivalBuf
+	for _, fd := range m.detailBuf { // empty unless tracing
+		start := requestAt + fd.Server.ChainDelay
+		if fd.Phase == "backlog" {
+			start = outageEnd
+		}
+		sp.Child(tracing.KindFetch, int64(c.ID), start).
+			AttrInt("server", int64(fd.Server.Member.ID)).
+			AttrInt("packets", int64(fd.Packets)).
+			End(fd.Last, fd.Phase)
+	}
 	// slack(n) = playback deadline minus repair arrival: a member whose
 	// repairs travel one extra hop h misses exactly the packets with
 	// slack < h. Lost packets get a -inf slack. One sort, then each
@@ -345,7 +363,7 @@ func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration)
 		if at < 0 {
 			slacks[i] = lostSlack
 		} else {
-			slacks[i] = m.gen(first+int64(i)) + m.cfg.Buffer - at
+			slacks[i] = m.deadline(first+int64(i)) - at
 		}
 	}
 	sorted := append(m.sortedBuf[:0], slacks...)
@@ -353,6 +371,9 @@ func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration)
 	m.sortedBuf = sorted
 	slot := time.Duration(float64(time.Second) / m.cfg.Rate)
 	repairedTotal, lostTotal := 0, 0
+	var stallFrom, stallTo int64
+	// Fold into the subtree. ELN: c's loss notifications walk the subtree
+	// edges so descendants wait for upstream repair instead of re-requesting.
 	m.tree.VisitSubtree(c, func(d *overlay.Member) {
 		if d != c {
 			m.ELNMessages++
@@ -388,6 +409,9 @@ func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration)
 		if d == c {
 			repairedTotal += int(total) - missed
 			lostTotal += missed
+			if sp != nil && missed > 0 {
+				stallFrom, stallTo = stallWindow(m.uncovBuf, first, slacks)
+			}
 		}
 		st.acc.add(first, last+1)
 		st.acc.seal(first) // failure times are monotone: forget everything below
@@ -396,100 +420,48 @@ func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration)
 	m.PacketsLost += lostTotal
 	m.met.repaired.Add(float64(repairedTotal))
 	m.met.lost.Add(float64(lostTotal))
+	if sp != nil {
+		if lostTotal > 0 {
+			sp.Child(tracing.KindStall, int64(c.ID), m.deadline(stallFrom)).
+				AttrInt("slots", int64(lostTotal)).
+				End(m.deadline(stallTo)+slot, "starved")
+		}
+		outcome := "filled"
+		switch {
+		case lostTotal > 0 && repairedTotal > 0:
+			outcome = "partial"
+		case lostTotal > 0:
+			outcome = "abandoned"
+		}
+		sp.AttrInt("repaired", int64(repairedTotal)).AttrInt("lost", int64(lostTotal)).
+			End(outageEnd, outcome)
+	}
 	if m.cfg.OnEpisode != nil {
 		m.cfg.OnEpisode(c, failedAt, repairedTotal, lostTotal)
 	}
 }
 
-// runEpisodeTraced is the per-packet episode path behind Config.Trace: same
-// outcomes as the interval path (equivalence-tested), plus the causal span
-// with per-server fetch children and stall spans that need individual
-// packet deadlines.
-func (m *Model) runEpisodeTraced(c *overlay.Member, failedAt, outageEnd time.Duration, first, last int64, requestAt time.Duration) {
-	repairedBefore, lostBefore := m.PacketsRepaired, m.PacketsLost
-	// The episode span covers the service-interruption window (the paper's
-	// resilience metric); its children decompose it causally.
-	sp := m.cfg.Trace.Start(tracing.KindRepair, int64(c.ID), failedAt).
-		AttrInt("first", first).AttrInt("last", last)
-	sp.Child(tracing.KindDetect, int64(c.ID), failedAt).End(requestAt, "gap-detected")
-	servers, ep := m.episodeInputs(c, first, last, requestAt, outageEnd)
-	plan, detail := cer.PlanRecoveryDetail(ep, servers)
-	for _, fd := range detail {
-		start := requestAt + fd.Server.ChainDelay
-		if fd.Phase == "backlog" {
-			start = outageEnd
-		}
-		sp.Child(tracing.KindFetch, int64(c.ID), start).
-			AttrInt("server", int64(fd.Server.Member.ID)).
-			AttrInt("packets", int64(fd.Packets)).
-			End(fd.Last, fd.Phase)
-	}
-	var stallFirst, stallLast time.Duration
-	stallSlots := 0
-	// Fold into the subtree. ELN: c's loss notifications walk the subtree
-	// edges so descendants wait for upstream repair instead of re-requesting.
-	m.tree.VisitSubtree(c, func(d *overlay.Member) {
-		if d != c {
-			m.ELNMessages++
-			m.met.eln.Inc()
-		}
-		st := m.stateOf(d.ID)
-		if st == nil || st.viewStart > failedAt {
-			return
-		}
-		hop := time.Duration(0)
-		if d != c {
-			hop = m.delay(c.Attach, d.Attach)
-		}
-		// Walk the same uncovered ranges the interval path accounts, so the
-		// two paths charge identical packet sets.
-		m.uncovBuf = st.acc.appendUncovered(m.uncovBuf[:0], first, last+1)
-		for _, u := range m.uncovBuf {
-			for n := u.from; n < u.to; n++ {
-				deadline := m.gen(n) + m.cfg.Buffer
-				arrival, repaired := plan[n]
-				if !repaired || arrival+hop > deadline {
-					st.starved += time.Duration(float64(time.Second) / m.cfg.Rate)
+// deadline returns packet n's playback deadline.
+func (m *Model) deadline(n int64) time.Duration {
+	return m.gen(n) + m.cfg.Buffer
+}
+
+// stallWindow returns the first and last packet of ranges with negative
+// slack: for the orphan (hop 0), the packets lost or repaired after their
+// deadline. Callers ensure there is one.
+func stallWindow(ranges []span, first int64, slacks []time.Duration) (from, to int64) {
+	from = -1
+	for _, u := range ranges {
+		for n := u.from; n < u.to; n++ {
+			if slacks[n-first] < 0 {
+				if from < 0 {
+					from = n
 				}
-				if d == c {
-					if repaired && arrival <= deadline {
-						m.PacketsRepaired++
-					} else {
-						m.PacketsLost++
-						if stallSlots == 0 {
-							stallFirst = deadline
-						}
-						stallLast = deadline
-						stallSlots++
-					}
-				}
+				to = n
 			}
 		}
-		st.acc.add(first, last+1)
-		st.acc.seal(first) // mirror the interval path's monotone forgetting
-	})
-	repaired := m.PacketsRepaired - repairedBefore
-	lost := m.PacketsLost - lostBefore
-	m.met.repaired.Add(float64(repaired))
-	m.met.lost.Add(float64(lost))
-	if stallSlots > 0 {
-		slot := time.Duration(float64(time.Second) / m.cfg.Rate)
-		sp.Child(tracing.KindStall, int64(c.ID), stallFirst).
-			AttrInt("slots", int64(stallSlots)).
-			End(stallLast+slot, "starved")
 	}
-	outcome := "filled"
-	switch {
-	case lost > 0 && repaired > 0:
-		outcome = "partial"
-	case lost > 0:
-		outcome = "abandoned"
-	}
-	sp.AttrInt("repaired", int64(repaired)).AttrInt("lost", int64(lost)).
-		End(outageEnd, outcome)
-	if m.cfg.OnEpisode != nil {
-		m.cfg.OnEpisode(c, failedAt, repaired, lost)
-	}
+	return from, to
 }
 
 // episodeInputs selects the recovery group for orphan c and assembles the
