@@ -16,6 +16,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
@@ -62,6 +64,8 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "omcast-bench: %v\n", err)
 		return 1
 	}
+	rep.Revision = revision()
+	rep.NProc = runtime.NumCPU()
 	if *scale {
 		sizes := bench.DefaultScaleSizes()
 		if *scaleSz != "" {
@@ -122,6 +126,30 @@ func run() int {
 	}
 	fmt.Println("no regressions beyond threshold")
 	return 0
+}
+
+// revision returns the VCS revision stamped into the binary, suffixed with
+// "+dirty" when the working tree had local modifications, or "" when the
+// build carries no stamp (go run, or a build outside a checkout).
+func revision() string {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return ""
+	}
+	var rev string
+	dirty := false
+	for _, s := range info.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	if rev != "" && dirty {
+		rev += "+dirty"
+	}
+	return rev
 }
 
 func parseSizes(s string) ([]int, error) {

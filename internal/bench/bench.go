@@ -414,7 +414,13 @@ type Result struct {
 // Report is one BENCH_*.json artifact.
 type Report struct {
 	// Date is caller-supplied (the package itself reads no clock).
-	Date      string   `json:"date"`
+	Date string `json:"date"`
+	// Revision and NProc record provenance: the source revision the binary
+	// was built from (empty when the build carries no VCS stamp) and the
+	// host's logical CPU count. Both are caller-supplied like Date, and
+	// Compare ignores them.
+	Revision  string   `json:"revision,omitempty"`
+	NProc     int      `json:"nproc,omitempty"`
 	GoVersion string   `json:"go_version"`
 	GOOS      string   `json:"goos"`
 	GOARCH    string   `json:"goarch"`

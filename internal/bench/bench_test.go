@@ -23,6 +23,8 @@ func TestSuiteNamesUnique(t *testing.T) {
 func TestReportRoundTrip(t *testing.T) {
 	rep := Report{
 		Date:      "2026-08-05",
+		Revision:  "0123abc",
+		NProc:     2,
 		GoVersion: "go0.0",
 		Quick:     true,
 		Results: []Result{
@@ -38,7 +40,8 @@ func TestReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Date != rep.Date || len(got.Results) != 1 || got.Results[0].NsPerOp != 123.5 {
+	if got.Date != rep.Date || got.Revision != rep.Revision || got.NProc != rep.NProc ||
+		len(got.Results) != 1 || got.Results[0].NsPerOp != 123.5 {
 		t.Fatalf("round trip mangled the report: %+v", got)
 	}
 	if got.Headline["fig4/x"] != 1.25 {
@@ -71,6 +74,13 @@ func TestCompare(t *testing.T) {
 	cur.Results[0].NsPerOp = 120
 	if _, regressed := Compare(prev, cur, 0.25); regressed {
 		t.Fatal("20% growth below a 25% threshold must pass")
+	}
+	// Provenance differs between any two hosts or commits; it must not
+	// change the verdict.
+	prev.Revision, prev.NProc = "aaa", 1
+	cur.Revision, cur.NProc = "bbb", 64
+	if _, regressed := Compare(prev, cur, 0.25); regressed {
+		t.Fatal("differing revision/nproc must not regress")
 	}
 }
 

@@ -199,6 +199,9 @@ type Driver struct {
 	// so the rejoin-latency histogram can observe failure-to-reattach time.
 	// Only populated while instrumented; accessed by key, never iterated.
 	pendingRejoin map[overlay.MemberID]time.Duration
+	// ancestors is depart's reusable ancestor-path buffer. Only
+	// ancestorRejoin reads it, synchronously within the same departure.
+	ancestors []*overlay.Member
 
 	// JoinFailures counts arrivals that found a saturated overlay and had
 	// to retry.
@@ -446,7 +449,8 @@ func (d *Driver) depart(sim *eventsim.Simulator, id overlay.MemberID) {
 	}
 	d.Departures++
 	d.met.departures.Inc()
-	ancestors := d.tree.Ancestors(m) // the orphans' surviving ancestor path
+	ancestors := d.tree.AppendAncestors(d.ancestors[:0], m) // the orphans' surviving ancestor path
+	d.ancestors = ancestors
 	orphans, err := d.tree.Remove(m)
 	if err != nil {
 		panic(fmt.Sprintf("churn: removing departed member: %v", err))

@@ -46,6 +46,13 @@ type Env struct {
 	// CandidateCount bounds membership discovery for the distributed
 	// algorithms; 0 means DefaultCandidateCount.
 	CandidateCount int
+
+	// cands is candidates' reusable result buffer. One buffer per Env is
+	// safe because an Env belongs to one session and every strategy
+	// finishes iterating a candidate list before it can call candidates
+	// again (ContributorPriority hands off to its inner strategy instead of
+	// nesting).
+	cands []*overlay.Member
 }
 
 func (e *Env) candidateCount() int {
@@ -69,10 +76,11 @@ type Strategy interface {
 // candidates samples the joining member's partial view of the overlay and
 // always includes the source (the bootstrap mechanism guarantees at least
 // one active contact, and the source is every session's first), mirroring
-// the paper's join procedure.
+// the paper's join procedure. The result is the sample followed by the
+// root, built in the Env's buffer: it is valid until the next call.
 func (e *Env) candidates(tree *overlay.Tree, m *overlay.Member) []*overlay.Member {
-	cands := tree.Sample(e.Rng, e.candidateCount(), m)
-	return append(cands, tree.Root())
+	e.cands = append(append(e.cands[:0], tree.Sample(e.Rng, e.candidateCount(), m)...), tree.Root())
+	return e.cands
 }
 
 // MinDepth is the minimum-depth algorithm.

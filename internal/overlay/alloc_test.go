@@ -1,6 +1,8 @@
 package overlay
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -36,10 +38,66 @@ func TestSampleAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestSampleGrowingTreeAllocs counts allocations while the tree grows, the
+// regime the steady-state ceiling above cannot see: pre-population adds one
+// member per join, so scratch sized to exactly the current tree would
+// allocate (and zero an O(n) slice) on every call. Geometric growth keeps
+// the number of allocating calls logarithmic in the final size.
+func TestSampleGrowingTreeAllocs(t *testing.T) {
+	tree, err := NewTree(0, 100, func(a, b topology.NodeID) time.Duration { return time.Millisecond })
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(3)
+	const members, maxAllocatingCalls = 20_000, 32
+	var before, after runtime.MemStats
+	allocating := 0
+	for i := 0; i < members; i++ {
+		m := tree.NewMember(topology.NodeID(i), 0.5, time.Duration(i))
+		runtime.ReadMemStats(&before)
+		tree.Sample(rng, 100, m)
+		runtime.ReadMemStats(&after)
+		if after.Mallocs > before.Mallocs {
+			allocating++
+		}
+	}
+	if allocating > maxAllocatingCalls {
+		t.Fatalf("%d of %d Sample calls on a growing tree allocated, want <= %d",
+			allocating, members, maxAllocatingCalls)
+	}
+}
+
+// TestAppendAncestorsAllocCeiling pins the append-style ancestor walk at
+// zero allocations once the caller's buffer is warm, and checks it agrees
+// with Ancestors.
+func TestAppendAncestorsAllocCeiling(t *testing.T) {
+	tree, err := NewTree(0, 1, func(a, b topology.NodeID) time.Duration { return time.Millisecond })
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := tree.Root()
+	for i := 0; i < 64; i++ { // a chain: the deepest member has 64 ancestors
+		m := tree.NewMember(topology.NodeID(i), 1, time.Duration(i))
+		if err := tree.Attach(m, leaf); err != nil {
+			t.Fatal(err)
+		}
+		leaf = m
+	}
+	buf := tree.AppendAncestors(nil, leaf)
+	if want := tree.Ancestors(leaf); !slices.Equal(buf, want) || len(buf) != 64 {
+		t.Fatalf("AppendAncestors = %d members, Ancestors = %d; want the same 64", len(buf), len(want))
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		buf = tree.AppendAncestors(buf[:0], leaf)
+	})
+	if allocs > 0 {
+		t.Fatalf("AppendAncestors allocates %.1f times per call with a warm buffer, want 0", allocs)
+	}
+}
+
 // TestSampleResultAppendSafe pins the scratch-buffer contract: the returned
-// slice has capacity == length, so a caller appending to it (construct's
-// candidate list appends the root) gets a private copy instead of scribbling
-// into the tree's scratch.
+// slice has capacity == length, so any caller that appends to it gets a
+// private copy instead of scribbling into the tree's scratch.
 func TestSampleResultAppendSafe(t *testing.T) {
 	tree, err := NewTree(0, 100, func(a, b topology.NodeID) time.Duration { return time.Millisecond })
 	if err != nil {

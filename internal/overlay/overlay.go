@@ -612,15 +612,19 @@ func (t *Tree) SubtreeSize(m *Member) int {
 }
 
 // Ancestors returns the path from m's parent up to the root, nearest first.
-func (t *Tree) Ancestors(m *Member) []*Member {
+func (t *Tree) Ancestors(m *Member) []*Member { return t.AppendAncestors(nil, m) }
+
+// AppendAncestors appends m's ancestors, nearest first, to dst and returns
+// the extended slice. Callers that walk ancestor paths on a hot path pass a
+// reused buffer (dst[:0]) so the walk allocates nothing once it is warm.
+func (t *Tree) AppendAncestors(dst []*Member, m *Member) []*Member {
 	if m == nil || m.idx < 0 {
-		return nil
+		return dst
 	}
-	var out []*Member
 	for p := t.parent[m.idx]; p != none; p = t.parent[p] {
-		out = append(out, t.handle[p])
+		dst = append(dst, t.handle[p])
 	}
-	return out
+	return dst
 }
 
 // MaxDepth returns the current tree height (deepest attached layer).
@@ -650,7 +654,9 @@ func (t *Tree) Level(d int) []*Member {
 // The returned slice is backed by a tree-owned scratch buffer and is valid
 // only until the next Sample call; its capacity equals its length, so
 // appending to it copies. Callers that retain the members across another
-// Sample must copy the slice first.
+// Sample must copy the slice first. The dedup scratch grows geometrically
+// with the tree, so sampling a growing tree allocates O(log n) times in
+// total, not once per join.
 func (t *Tree) Sample(rng *xrand.Source, n int, exclude *Member) []*Member {
 	if n <= 0 || len(t.order) == 0 {
 		return nil
@@ -672,7 +678,10 @@ func (t *Tree) Sample(rng *xrand.Source, n int, exclude *Member) []*Member {
 	// sequence as a dedup map (so the RNG stream is untouched) without the
 	// per-call map allocations.
 	if len(t.sampleSeen) < len(t.order) {
-		t.sampleSeen = make([]uint32, len(t.order))
+		// Grow geometrically: the tree typically grows by one member
+		// between calls (one join each), and sizing to exactly len(order)
+		// would allocate and zero an O(n) slice on every join.
+		t.sampleSeen = make([]uint32, max(2*len(t.sampleSeen), len(t.order)))
 		t.sampleEpoch = 0
 	}
 	t.sampleEpoch++
@@ -700,10 +709,11 @@ func (t *Tree) Sample(rng *xrand.Source, n int, exclude *Member) []*Member {
 }
 
 // sampleBuf returns the empty reusable sample output buffer with capacity for
-// at least n members.
+// at least n members. Like the dedup scratch it grows geometrically: while
+// the tree is smaller than the sample size, n grows by one per join.
 func (t *Tree) sampleBuf(n int) []*Member {
 	if cap(t.sampleOut) < n {
-		t.sampleOut = make([]*Member, 0, n)
+		t.sampleOut = make([]*Member, 0, max(2*cap(t.sampleOut), n))
 	}
 	return t.sampleOut[:0]
 }
